@@ -7,13 +7,17 @@ type compiled = {
   packing : Vectorize.packing option;
 }
 
+(* Validation and parameter selection read one sweep of the program. *)
+let validate_and_select ~s_f ?lanes program =
+  let sweep = Validate.check_transformed_sweep ~s_f program in
+  Option.iter (fun lanes -> Validate.check_batched ~lanes program) lanes;
+  Params.select_sweep ~s_f sweep program
+
 let batch c ~lanes =
   if lanes = 1 then c
   else begin
     let program = Passes.batch ~lanes c.program in
-    Validate.check_transformed ~s_f:c.s_f program;
-    Validate.check_batched ~lanes:(lanes * c.lanes) program;
-    let params = Params.select ~s_f:c.s_f program in
+    let params = validate_and_select ~s_f:c.s_f ~lanes:(lanes * c.lanes) program in
     { c with program; params; lanes = lanes * c.lanes }
   end
 
@@ -34,7 +38,7 @@ let batch_rotations c ~max_lanes =
   List.sort_uniq compare (go [] 2)
 
 let run ?(s_f = Passes.default_s_f) ?waterline ?(policy = Passes.Eva) ?(eager_relin = false)
-    ?(optimize = false) ?(vectorize = true) ?(batch = 1) input =
+    ?(optimize = false) ?(vectorize = true) ?batch:(lanes = 1) input =
   Validate.check_input_program input;
   let program = Ir.copy input in
   if optimize then Optimize.run program;
@@ -43,16 +47,8 @@ let run ?(s_f = Passes.default_s_f) ?waterline ?(policy = Passes.Eva) ?(eager_re
   in
   (match packing with Some pk -> Validate.check_packing pk program | None -> ());
   Passes.transform ~s_f ?waterline ~policy ~eager_relin program;
-  Validate.check_transformed ~s_f program;
-  let params = Params.select ~s_f program in
-  let c = { program; params; policy; s_f; lanes = 1; packing } in
-  if batch = 1 then c
-  else
-    let program = Passes.batch ~lanes:batch c.program in
-    Validate.check_transformed ~s_f program;
-    Validate.check_batched ~lanes:batch program;
-    let params = Params.select ~s_f program in
-    { c with program; params; lanes = batch }
+  let params = validate_and_select ~s_f program in
+  batch { program; params; policy; s_f; lanes = 1; packing } ~lanes
 
 let run_timed ?s_f ?waterline ?policy ?eager_relin ?optimize ?vectorize ?batch input =
   let t0 = Unix.gettimeofday () in

@@ -90,15 +90,15 @@ let inputs p = List.rev (List.filter (fun n -> match n.op with Input _ -> true |
 let constants p = List.rev (List.filter (fun n -> match n.op with Constant _ -> true | _ -> false) p.all_nodes)
 
 let prune p =
-  let live = Hashtbl.create 64 in
+  let live = Array.make p.next_id false in
   let rec mark n =
-    if not (Hashtbl.mem live n.id) then begin
-      Hashtbl.replace live n.id ();
+    if not live.(n.id) then begin
+      live.(n.id) <- true;
       Array.iter mark n.parms
     end
   in
   List.iter mark (outputs p);
-  let keep, drop = List.partition (fun n -> Hashtbl.mem live n.id) p.all_nodes in
+  let keep, drop = List.partition (fun n -> live.(n.id)) p.all_nodes in
   List.iter (fun dead -> Array.iter (fun parent -> remove_use parent dead) dead.parms) drop;
   p.all_nodes <- keep
 
@@ -112,88 +112,77 @@ let copy ?vec_size ?(map_op = fun op -> op) p =
         vs
   in
   let q = { p with vec_size; all_nodes = []; next_id = 0 } in
-  let map = Hashtbl.create 64 in
+  let map = Array.make p.next_id None in
   let rec clone n =
-    match Hashtbl.find_opt map n.id with
+    match map.(n.id) with
     | Some m -> m
     | None ->
         let parms = Array.to_list (Array.map clone n.parms) in
         let m = add_node ~decl_scale:n.decl_scale q (map_op n.op) parms in
-        Hashtbl.replace map n.id m;
+        map.(n.id) <- Some m;
         m
   in
   List.iter (fun n -> ignore (clone n)) (List.rev p.all_nodes);
   q
 
-(* A small mutable min-heap on node ids, so topological order is
-   deterministic (smallest ready id first). Determinism makes serialized
-   output canonical: a parsed program re-serializes to the same text. *)
-module Heap = struct
-  type 'a t = { mutable data : (int * 'a) array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let push h key v =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (max 16 (2 * h.size)) (key, v) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      let parent = (!i - 1) / 2 in
-      let tmp = h.data.(parent) in
-      h.data.(parent) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := parent
-    done
-
-  let pop h =
-    let top = snd h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-      if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.data.(!smallest) in
-        h.data.(!smallest) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-
-  let is_empty h = h.size = 0
-end
-
+(* Kahn's algorithm over arrays indexed by node id (every id is below
+   [next_id]), with a binary min-heap of ready ids, so topological order
+   is deterministic (smallest ready id first). Determinism makes
+   serialized output canonical: a parsed program re-serializes to the
+   same text. *)
 let topological p =
-  let nodes = List.rev p.all_nodes in
-  let indeg = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace indeg n.id (Array.length n.parms)) nodes;
-  let heap = Heap.create () in
-  List.iter (fun n -> if Array.length n.parms = 0 then Heap.push heap n.id n) nodes;
-  let order = ref [] and emitted = ref 0 in
-  while not (Heap.is_empty heap) do
-    let n = Heap.pop heap in
-    order := n :: !order;
-    incr emitted;
-    List.iter
-      (fun u ->
-        let d = Hashtbl.find indeg u.id - 1 in
-        Hashtbl.replace indeg u.id d;
-        if d = 0 then Heap.push heap u.id u)
-      n.uses
-  done;
-  if !emitted <> List.length nodes then failwith "Ir.topological: cycle detected";
-  List.rev !order
+  match p.all_nodes with
+  | [] -> []
+  | any :: _ ->
+      let node = Array.make p.next_id any and indeg = Array.make p.next_id 0 in
+      let heap = Array.make (List.length p.all_nodes) 0 and size = ref 0 in
+      let push id =
+        let i = ref !size in
+        incr size;
+        while !i > 0 && heap.((!i - 1) / 2) > id do
+          heap.(!i) <- heap.((!i - 1) / 2);
+          i := (!i - 1) / 2
+        done;
+        heap.(!i) <- id
+      in
+      let pop () =
+        let top = heap.(0) in
+        decr size;
+        let last = heap.(!size) and i = ref 0 and sifting = ref true in
+        while !sifting do
+          let l = (2 * !i) + 1 in
+          let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+          if c < !size && heap.(c) < last then begin
+            heap.(!i) <- heap.(c);
+            i := c
+          end
+          else sifting := false
+        done;
+        heap.(!i) <- last;
+        top
+      in
+      List.iter
+        (fun n ->
+          node.(n.id) <- n;
+          let d = Array.length n.parms in
+          indeg.(n.id) <- d;
+          if d = 0 then push n.id)
+        p.all_nodes;
+      let order = Array.make (Array.length heap) any and emitted = ref 0 in
+      while !size > 0 do
+        let n = node.(pop ()) in
+        order.(!emitted) <- n;
+        incr emitted;
+        List.iter
+          (fun u ->
+            let d = indeg.(u.id) - 1 in
+            indeg.(u.id) <- d;
+            if d = 0 then push u.id)
+          n.uses
+      done;
+      if !emitted <> Array.length order then failwith "Ir.topological: cycle detected";
+      let rec to_list i acc = if i < 0 then acc else to_list (i - 1) (order.(i) :: acc) in
+      to_list (!emitted - 1) []
 
 let reverse_topological p = List.rev (topological p)
 

@@ -46,6 +46,9 @@ type program = {
   prog_name : string;
   vec_size : int;
   mutable next_id : int;
+      (** the id {!add_node} gives the next node; every node id of the
+          program is below it, so per-node state can live in arrays of
+          length [next_id] *)
   mutable all_nodes : node list;  (** reverse creation order *)
 }
 
@@ -87,7 +90,9 @@ val outputs : program -> node list
 val inputs : program -> node list
 val constants : program -> node list
 
-(** Nodes in parents-before-children order. *)
+(** Nodes in parents-before-children order; among ready nodes the
+    smallest id comes first, so the order is deterministic. Raises
+    [Failure] on a cycle. *)
 val topological : program -> node list
 
 (** Nodes in children-before-parents order. *)

@@ -38,12 +38,11 @@ let estimate ?(input_magnitude = 1.0) ~log_n compiled =
   let rescale_round = rescale_round_for 2 in
   (* Key switching after division by the ~2^60 special modulus. *)
   let keyswitch_round = 2.0 *. rescale_round in
-  let ty = Analysis.types p in
-  let is_cipher node = Hashtbl.find ty node.Ir.id = Ir.Cipher in
-  let num_polys = Analysis.num_polys p in
-  let polys node = Hashtbl.find num_polys node.Ir.id in
-  let tbl : (int, state) Hashtbl.t = Hashtbl.create 64 in
-  let get node = Hashtbl.find tbl node.Ir.id in
+  let sw = Analysis.sweep p in
+  let is_cipher node = sw.Analysis.ty.(node.Ir.id) = Ir.Cipher in
+  let polys node = sw.Analysis.polys.(node.Ir.id) in
+  let tbl = Array.make p.Ir.next_id { err = 0.0; mag = 0.0; scale = 1.0 } in
+  let get node = tbl.(node.Ir.id) in
   let const_magnitude = function
     | Ir.Const_scalar s -> Float.abs s
     | Ir.Const_vector v -> Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v
@@ -95,8 +94,8 @@ let estimate ?(input_magnitude = 1.0) ~log_n compiled =
             outputs := (name, { abs_error = a.err; magnitude = a.mag }) :: !outputs;
             a
       in
-      Hashtbl.replace tbl node.Ir.id s)
-    (Ir.topological p);
+      tbl.(node.Ir.id) <- s)
+    sw.Analysis.order;
   List.rev !outputs
 
 let check ?input_magnitude ~log_n ~tolerance compiled =

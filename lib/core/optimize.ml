@@ -32,7 +32,7 @@ let fold_constants ?max_fold_size p =
   let limit = Option.value max_fold_size ~default:vs in
   let changed = ref false in
   let values : (int, cval) Hashtbl.t = Hashtbl.create 32 in
-  let scales = Analysis.scales p in
+  let scales = (Analysis.sweep p).Analysis.scale in
   let as_vec = function
     | Vec v -> Reference.tile vs v
     | Scal s -> Array.make vs s
@@ -79,7 +79,7 @@ let fold_constants ?max_fold_size p =
           (* Rewrite instructions (not pre-existing constants) whose value
              is now known, if it fits the size budget. *)
           if Ir.is_instruction n && n.Ir.uses <> [] then begin
-            let scale = Hashtbl.find scales n.Ir.id in
+            let scale = scales.(n.Ir.id) in
             let const =
               match value with
               | Scal s -> Some (Ir.Constant (Ir.Const_scalar s))
@@ -152,13 +152,13 @@ type hoist_group = { hoist_source : Ir.node; hoist_rotations : Ir.node list }
    ascending id order, so the head is the group's topologically first
    member — the leader both executors key the group on. *)
 let rotation_groups p =
-  let ty = Analysis.types p in
+  let ty = (Analysis.sweep p).Analysis.ty in
   let by_src : (int, Ir.node list) Hashtbl.t = Hashtbl.create 16 in
   let srcs = ref [] in
   List.iter
     (fun n ->
       match n.Ir.op with
-      | (Ir.Rotate_left _ | Ir.Rotate_right _) when Hashtbl.find ty n.Ir.id = Ir.Cipher ->
+      | (Ir.Rotate_left _ | Ir.Rotate_right _) when ty.(n.Ir.id) = Ir.Cipher ->
           let s = n.Ir.parms.(0) in
           (match Hashtbl.find_opt by_src s.Ir.id with
           | None ->

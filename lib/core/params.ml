@@ -41,21 +41,21 @@ let legalize_factors ~log_n factors =
   in
   fix factors
 
-let select ?(s_f = Passes.default_s_f) p =
-  let chains = Analysis.chains p in
-  let scales = Analysis.scales p in
+let select_sweep ?(s_f = Passes.default_s_f) (s : Analysis.sweep) p =
+  Option.iter (fun m -> raise (Analysis.Analysis_error m)) s.Analysis.chain_error;
   let outs = Ir.outputs p in
   if outs = [] then fail "program has no outputs";
   (* A residual modswitch slot not matched by any rescale can take any
      size; s_f is the safe upper bound. *)
   let concrete_chain o =
-    List.map (function Some k -> k | None -> s_f) (Hashtbl.find chains o.Ir.id)
+    if s.Analysis.ty.(o.Ir.id) <> Ir.Cipher then fail "output node %d is not a ciphertext" o.Ir.id;
+    List.rev_map (function Some k -> k | None -> s_f) s.Analysis.rchain.(o.Ir.id)
   in
   let candidates =
     List.map
       (fun o ->
         let c = concrete_chain o in
-        let log_out = Hashtbl.find scales o.Ir.id + o.Ir.decl_scale in
+        let log_out = s.Analysis.scale.(o.Ir.id) + o.Ir.decl_scale in
         let factors = factorize ~s_f log_out in
         (o, c, factors))
       outs
@@ -70,7 +70,7 @@ let select ?(s_f = Passes.default_s_f) p =
       ((min_int, min_int), [], [])
       candidates
   in
-  let rotations = Analysis.rotation_steps p in
+  let rotations = s.Analysis.steps in
   (* Degree: large enough for the batch size and for 128-bit security of
      the total modulus. Legalizing tiny factors can add a few bits, so
      iterate until stable. *)
@@ -94,6 +94,8 @@ let select ?(s_f = Passes.default_s_f) p =
       }
   in
   fit 10
+
+let select ?s_f p = select_sweep ?s_f (Analysis.sweep p) p
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>log N = %d@,log Q = %d@,bit sizes = [%s]@,rotations = [%s]@]" t.log_n t.log_q

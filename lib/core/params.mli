@@ -23,4 +23,8 @@ exception Selection_error of string
     [log_q] and the slot count fits [vec_size]. *)
 val select : ?s_f:int -> Ir.program -> t
 
+(** {!select} reading a sweep of the program already computed (by
+    {!Validate.check_transformed_sweep}). *)
+val select_sweep : ?s_f:int -> Analysis.sweep -> Ir.program -> t
+
 val pp : Format.formatter -> t -> unit

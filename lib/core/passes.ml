@@ -10,71 +10,80 @@ let waterline p =
     (fun acc n -> match n.Ir.op with Ir.Input _ | Ir.Constant _ -> max acc n.Ir.decl_scale | _ -> acc)
     0 p.Ir.all_nodes
 
+(* Per-node pass state in a growable array indexed by node id (ids are
+   dense: every id is below the program's [next_id], and nodes a pass
+   inserts get the next ones). Reading a node the pass never set is a
+   compiler bug. *)
+module State = struct
+  type t = { mutable data : int array; what : string }
+
+  let unset = min_int
+  let create what size = { data = Array.make (max size 16) unset; what }
+
+  let get t n =
+    let id = n.Ir.id in
+    if id < Array.length t.data && t.data.(id) <> unset then t.data.(id) else pass_invariant t.what
+
+  let set t n v =
+    let id = n.Ir.id in
+    if id >= Array.length t.data then begin
+      let bigger = Array.make (max (id + 1) (2 * Array.length t.data)) unset in
+      Array.blit t.data 0 bigger 0 (Array.length t.data);
+      t.data <- bigger
+    end;
+    t.data.(id) <- v
+end
+
 (* Incremental type tracking: inserted FHE-specific nodes inherit their
-   parent's type, so a table seeded from the pre-pass graph stays valid as
-   long as new nodes are registered. *)
-let make_type_state p =
-  let ty = Analysis.types p in
-  let is_cipher n =
-    match Hashtbl.find_opt ty n.Ir.id with
-    | Some t -> t = Ir.Cipher
-    | None -> pass_invariant "type state"
-  in
-  let register n t = Hashtbl.replace ty n.Ir.id t in
-  (is_cipher, register)
+   parent's type and no rewrite changes an existing node's type, so one
+   table seeded from a sweep stays valid across every pass of
+   {!transform} as long as new nodes are registered. Only cipher-ness
+   matters to the passes (1 = Cipher, 0 = plaintext). *)
+let seed_types p =
+  let s = Analysis.sweep p in
+  let ty = State.create "type state" p.Ir.next_id in
+  List.iter (fun n -> State.set ty n (if s.Analysis.ty.(n.Ir.id) = Ir.Cipher then 1 else 0)) s.Analysis.order;
+  ty
 
-let make_scale_state () =
-  let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let get n =
-    match Hashtbl.find_opt tbl n.Ir.id with
-    | Some s -> s
-    | None -> pass_invariant "scale state"
-  in
-  let set n s = Hashtbl.replace tbl n.Ir.id s in
-  (get, set)
+let is_cipher ty n = State.get ty n = 1
+let register ty n t = State.set ty n (if t = Ir.Cipher then 1 else 0)
 
-let rescale_insertion p ~divisor_for =
-  let is_cipher, register_type = make_type_state p in
-  let get_scale, set_scale = make_scale_state () in
+let rescale_insertion ty p ~divisor_for =
+  let is_cipher = is_cipher ty in
+  let scale = State.create "scale state" p.Ir.next_id in
+  let get_scale = State.get scale in
   Rewrite.forward p (fun n ->
       let s = Analysis.scale_formula ~is_cipher ~get:get_scale n in
-      set_scale n s;
+      State.set scale n s;
       match n.Ir.op with
       | Ir.Multiply when is_cipher n -> begin
           match divisor_for ~result_scale:s ~parm_scales:(Array.map get_scale n.Ir.parms) with
           | None -> false
           | Some d ->
               let ns = Ir.insert_between p n (Ir.Rescale d) [] in
-              register_type ns Ir.Cipher;
-              set_scale ns (s - d);
+              register ty ns Ir.Cipher;
+              State.set scale ns (s - d);
               true
         end
       | _ -> false)
 
-let waterline_rescale ?(s_f = default_s_f) ?waterline:sw_opt p =
+let waterline_rescale_with ty ?(s_f = default_s_f) ?waterline:sw_opt p =
   let sw = match sw_opt with Some sw -> sw | None -> waterline p in
-  rescale_insertion p ~divisor_for:(fun ~result_scale ~parm_scales:_ ->
+  rescale_insertion ty p ~divisor_for:(fun ~result_scale ~parm_scales:_ ->
       if result_scale - s_f >= sw then Some s_f else None)
 
+let waterline_rescale ?s_f ?waterline p = waterline_rescale_with (seed_types p) ?s_f ?waterline p
+
 let always_rescale p =
-  rescale_insertion p ~divisor_for:(fun ~result_scale:_ ~parm_scales ->
+  rescale_insertion (seed_types p) p ~divisor_for:(fun ~result_scale:_ ~parm_scales ->
       Some (Array.fold_left min max_int parm_scales))
 
 (* Levels here are rescale-chain lengths only; value conformance is left to
    the validator. *)
-let make_level_state () =
-  let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let get n =
-    match Hashtbl.find_opt tbl n.Ir.id with
-    | Some l -> l
-    | None -> pass_invariant "level state"
-  in
-  let set n l = Hashtbl.replace tbl n.Ir.id l in
-  (get, set)
-
-let lazy_modswitch p =
-  let is_cipher, register_type = make_type_state p in
-  let get_level, set_level = make_level_state () in
+let lazy_modswitch_with ty p =
+  let is_cipher = is_cipher ty in
+  let level = State.create "level state" p.Ir.next_id in
+  let get_level = State.get level and set_level = State.set level in
   Rewrite.forward p (fun n ->
       let level_of m = if is_cipher m then get_level m else 0 in
       let base_level =
@@ -100,7 +109,7 @@ let lazy_modswitch p =
                 let m = ref parent in
                 for _ = 1 to target - level_of parent do
                   let ms = Ir.add_node p Ir.Mod_switch [ !m ] in
-                  register_type ms Ir.Cipher;
+                  register ty ms Ir.Cipher;
                   set_level ms (get_level !m + 1);
                   m := ms
                 done;
@@ -112,53 +121,53 @@ let lazy_modswitch p =
       set_level n base_level;
       !changed)
 
-let eager_modswitch p =
-  let is_cipher, register_type = make_type_state p in
-  let rl : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let rlevel n =
-    match Hashtbl.find_opt rl n.Ir.id with Some v -> v | None -> Diag.error ~layer:Diag.Compile ~code:Diag.compile_pass_state "Passes.eager_modswitch: missing rlevel"
-  in
+let lazy_modswitch p = lazy_modswitch_with (seed_types p) p
+
+let eager_modswitch_with ty p =
+  let is_cipher = is_cipher ty in
+  let rl = State.create "rlevel state" p.Ir.next_id in
+  let rlevel = State.get rl in
   let changed = ref false in
+  (* Every (child, slot) edge from a cipher use of [n] to [n]. *)
+  let iter_edges n uses f =
+    List.iter
+      (fun c -> if is_cipher c then Array.iteri (fun i parent -> if parent == n then f c i) c.Ir.parms)
+      uses
+  in
   let equalize_children n self =
-    (* Gather (child, slot, edge rlevel) for every cipher use of n. *)
-    let edges =
-      List.concat_map
-        (fun c ->
-          if is_cipher c then
-            Array.to_list
-              (Array.of_list
-                 (List.filter_map
-                    (fun i -> if n == c.Ir.parms.(i) then Some (c, i, rlevel c) else None)
-                    (List.init (Array.length c.Ir.parms) Fun.id)))
-          else [])
-        n.Ir.uses
-    in
-    match edges with
-    | [] -> 0 + self
-    | _ ->
-        let max_v = List.fold_left (fun acc (_, _, v) -> max acc v) 0 edges in
-        let min_v = List.fold_left (fun acc (_, _, v) -> min acc v) max_int edges in
-        if min_v < max_v then begin
-          (* One shared ladder: child at rlevel v attaches after
-             (max_v - v) MODSWITCH nodes. *)
-          let ladder = Array.make (max_v - min_v + 1) n in
-          for d = 1 to max_v - min_v do
-            let ms = Ir.add_node p Ir.Mod_switch [ ladder.(d - 1) ] in
-            register_type ms Ir.Cipher;
-            Hashtbl.replace rl ms.Ir.id (max_v - d + 1);
-            ladder.(d) <- ms
-          done;
-          List.iter (fun (c, i, v) -> if v < max_v then Ir.set_parm c i ladder.(max_v - v)) edges;
-          changed := true
-        end;
-        max_v + self
+    let uses = n.Ir.uses in
+    let max_v = ref min_int and min_v = ref max_int in
+    iter_edges n uses (fun c _ ->
+        let v = rlevel c in
+        max_v := max !max_v v;
+        min_v := min !min_v v);
+    if !max_v = min_int then self
+    else begin
+      let max_v = max 0 !max_v and min_v = !min_v in
+      if min_v < max_v then begin
+        (* One shared ladder: child at rlevel v attaches after
+           (max_v - v) MODSWITCH nodes. *)
+        let ladder = Array.make (max_v - min_v + 1) n in
+        for d = 1 to max_v - min_v do
+          let ms = Ir.add_node p Ir.Mod_switch [ ladder.(d - 1) ] in
+          register ty ms Ir.Cipher;
+          State.set rl ms (max_v - d + 1);
+          ladder.(d) <- ms
+        done;
+        iter_edges n uses (fun c i ->
+            let v = rlevel c in
+            if v < max_v then Ir.set_parm c i ladder.(max_v - v));
+        changed := true
+      end;
+      max_v + self
+    end
   in
   List.iter
     (fun n ->
       if is_cipher n then begin
         let self = match n.Ir.op with Ir.Rescale _ | Ir.Mod_switch -> 1 | _ -> 0 in
         let v = match n.Ir.op with Ir.Output _ -> 0 | _ -> equalize_children n self in
-        Hashtbl.replace rl n.Ir.id v
+        State.set rl n v
       end)
     (Ir.reverse_topological p);
   (* Pad shallow roots so all fresh ciphertexts share the modulus chain. *)
@@ -171,7 +180,7 @@ let eager_modswitch p =
         let m = ref r in
         for _ = 1 to deficit do
           let ms = Ir.insert_between p !m Ir.Mod_switch [] in
-          register_type ms Ir.Cipher;
+          register ty ms Ir.Cipher;
           m := ms
         done;
         changed := true
@@ -179,9 +188,12 @@ let eager_modswitch p =
     roots;
   !changed
 
-let match_scale p =
-  let is_cipher, register_type = make_type_state p in
-  let get_scale, set_scale = make_scale_state () in
+let eager_modswitch p = eager_modswitch_with (seed_types p) p
+
+let match_scale_with ty p =
+  let is_cipher = is_cipher ty in
+  let scale = State.create "scale state" p.Ir.next_id in
+  let get_scale = State.get scale and set_scale = State.set scale in
   Rewrite.forward p (fun n ->
       let changed = ref false in
       (match n.Ir.op with
@@ -194,10 +206,10 @@ let match_scale p =
               let lo = n.Ir.parms.(lo_idx) in
               let diff = abs (sa - sb) in
               let one = Ir.add_node ~decl_scale:diff p (Ir.Constant (Ir.Const_scalar 1.0)) [] in
-              register_type one Ir.Scalar;
+              register ty one Ir.Scalar;
               set_scale one diff;
               let nt = Ir.add_node p Ir.Multiply [ lo; one ] in
-              register_type nt Ir.Cipher;
+              register ty nt Ir.Cipher;
               set_scale nt (get_scale lo + diff);
               Ir.set_parm n lo_idx nt;
               changed := true
@@ -207,8 +219,10 @@ let match_scale p =
       set_scale n (Analysis.scale_formula ~is_cipher ~get:get_scale n);
       !changed)
 
-let relinearize p =
-  let is_cipher, register_type = make_type_state p in
+let match_scale p = match_scale_with (seed_types p) p
+
+let relinearize_with ty p =
+  let is_cipher = is_cipher ty in
   Rewrite.forward p (fun n ->
       match n.Ir.op with
       | Ir.Multiply when is_cipher n.Ir.parms.(0) && is_cipher n.Ir.parms.(1) -> begin
@@ -217,10 +231,12 @@ let relinearize p =
           | [ { Ir.op = Ir.Relinearize; _ } ] -> false
           | _ ->
               let nl = Ir.insert_between p n Ir.Relinearize [] in
-              register_type nl Ir.Cipher;
+              register ty nl Ir.Cipher;
               true
         end
       | _ -> false)
+
+let relinearize p = relinearize_with (seed_types p) p
 
 (* LAZY-RELINEARIZE: the eager rule above keys one RELINEARIZE to every
    cipher x cipher MULTIPLY.  But relinearization commutes with the
@@ -245,16 +261,10 @@ let relinearize p =
    value and share the single key switch instead of re-demanding one
    per level.  Idempotent: after the rewire the size-3 node's only use
    is the Relinearize, so a second run finds no demanding use. *)
-let lazy_relinearize p =
-  let is_cipher, register_type = make_type_state p in
-  let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let size_of m =
-    if not (is_cipher m) then 0
-    else
-      match Hashtbl.find_opt sizes m.Ir.id with
-      | Some k -> k
-      | None -> pass_invariant "size state"
-  in
+let lazy_relinearize_with ty p =
+  let is_cipher = is_cipher ty in
+  let sizes = State.create "size state" p.Ir.next_id in
+  let size_of m = if not (is_cipher m) then 0 else State.get sizes m in
   let max_parent_size n =
     Array.fold_left (fun acc parent -> max acc (size_of parent)) 0 n.Ir.parms
   in
@@ -275,15 +285,17 @@ let lazy_relinearize p =
               if is_cipher a && is_cipher b then size_of a + size_of b - 1 else max_parent_size n
           | _ -> max_parent_size n
       in
-      Hashtbl.replace sizes n.Ir.id k;
+      State.set sizes n k;
       if k > 2 && List.exists demands_size2 n.Ir.uses then begin
         let keep_raw c = match c.Ir.op with Ir.Relinearize -> true | _ -> false in
         let nl = Ir.insert_between ~child_filter:(fun c -> not (keep_raw c)) p n Ir.Relinearize [] in
-        register_type nl Ir.Cipher;
-        Hashtbl.replace sizes nl.Ir.id 2;
+        register ty nl Ir.Cipher;
+        State.set sizes nl 2;
         true
       end
       else false)
+
+let lazy_relinearize p = lazy_relinearize_with (seed_types p) p
 
 (* SLOT-BATCH: widen a program so [lanes] independent requests share one
    ciphertext. Request [b] owns the strided slot set {i*lanes + b}; under
@@ -325,8 +337,12 @@ type policy = Eva | Lazy_insertion
 let transform ?(s_f = default_s_f) ?waterline ?(policy = Eva) ?(eager_relin = false) p =
   (* Dead subgraphs must not influence waterline or root padding. *)
   Ir.prune p;
-  ignore (waterline_rescale ~s_f ?waterline p);
-  (match policy with Eva -> ignore (eager_modswitch p) | Lazy_insertion -> ignore (lazy_modswitch p));
-  ignore (match_scale p);
-  ignore (if eager_relin then relinearize p else lazy_relinearize p);
+  (* One sweep seeds the type state every pass shares. *)
+  let ty = seed_types p in
+  ignore (waterline_rescale_with ty ~s_f ?waterline p);
+  (match policy with
+  | Eva -> ignore (eager_modswitch_with ty p)
+  | Lazy_insertion -> ignore (lazy_modswitch_with ty p));
+  ignore (match_scale_with ty p);
+  ignore (if eager_relin then relinearize_with ty p else lazy_relinearize_with ty p);
   Ir.prune p

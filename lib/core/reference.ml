@@ -26,8 +26,8 @@ let tile vec_size v =
 
 let execute p bindings =
   let vs = p.Ir.vec_size in
-  let values : (int, float array) Hashtbl.t = Hashtbl.create 64 in
-  let get n = Hashtbl.find values n.Ir.id in
+  let values = Array.make p.Ir.next_id [||] in
+  let get n = values.(n.Ir.id) in
   let outputs = ref [] in
   List.iter
     (fun n ->
@@ -57,6 +57,6 @@ let execute p bindings =
             outputs := (name, v) :: !outputs;
             v
       in
-      Hashtbl.replace values n.Ir.id v)
+      values.(n.Ir.id) <- v)
     (Ir.topological p);
   List.rev !outputs

@@ -27,12 +27,12 @@ let check_well_formed p =
               n.Ir.id
       | _ -> ())
     p.Ir.all_nodes;
-  if Ir.outputs p = [] then fail ~code:Diag.validate_structure "program has no outputs";
-  (* Type sanity: table construction raises on Cipher constants. *)
-  ignore (Analysis.types p)
+  if Ir.outputs p = [] then fail ~code:Diag.validate_structure "program has no outputs"
 
 let check_input_program p =
   check_well_formed p;
+  (* Acyclicity: the topological sort fails on a cycle. *)
+  ignore (Ir.topological p);
   List.iter
     (fun n ->
       if Ir.is_fhe_specific n.Ir.op then
@@ -40,21 +40,18 @@ let check_input_program p =
           "node %d: %s is not allowed in input programs" n.Ir.id (Ir.op_name n.Ir.op))
     p.Ir.all_nodes
 
-let check_transformed ?(s_f = Passes.default_s_f) p =
+let check_transformed_sweep ?(s_f = Passes.default_s_f) p =
   check_well_formed p;
-  let ty = Analysis.types p in
-  let is_cipher n = Hashtbl.find ty n.Ir.id = Ir.Cipher in
-  (* Constraint 1: chain computation raises on non-conforming or unequal
-     operand chains. *)
-  let chains =
-    try Analysis.chains p
-    with Analysis.Analysis_error msg ->
-      fail ~code:Diag.validate_structure "constraint 1 violated: %s" msg
-  in
-  ignore chains;
+  let s = Analysis.sweep p in
+  let is_cipher n = s.Analysis.ty.(n.Ir.id) = Ir.Cipher in
+  let scale n = s.Analysis.scale.(n.Ir.id) in
+  let polys n = s.Analysis.polys.(n.Ir.id) in
+  (* Constraint 1: the sweep records the first non-conforming or unequal
+     operand chain. *)
+  Option.iter
+    (fun msg -> fail ~code:Diag.validate_structure "constraint 1 violated: %s" msg)
+    s.Analysis.chain_error;
   (* Constraint 2: ADD/SUB cipher operands at equal scale. *)
-  let scales = Analysis.scales p in
-  let scale n = Hashtbl.find scales n.Ir.id in
   List.iter
     (fun n ->
       match n.Ir.op with
@@ -67,8 +64,6 @@ let check_transformed ?(s_f = Passes.default_s_f) p =
       | _ -> ())
     p.Ir.all_nodes;
   (* Constraint 3: MULTIPLY operands have exactly 2 polynomials. *)
-  let np = Analysis.num_polys p in
-  let polys n = Hashtbl.find np n.Ir.id in
   List.iter
     (fun n ->
       match n.Ir.op with
@@ -115,11 +110,17 @@ let check_transformed ?(s_f = Passes.default_s_f) p =
             fail ~node_id:n.Ir.id ~code:Diag.validate_rescale "node %d: rescale by 2^%d" n.Ir.id k
       | _ -> ())
     p.Ir.all_nodes;
-  (* Scales must stay positive (message would be destroyed otherwise). *)
-  Hashtbl.iter
-    (fun id s ->
-      if s < 0 then fail ~node_id:id ~code:Diag.validate_scale "node %d: negative scale 2^%d" id s)
-    scales
+  (* Scales must stay positive (message would be destroyed otherwise);
+     the lowest offending node id is reported. *)
+  let negative =
+    List.fold_left (fun acc n -> if scale n < 0 then min acc n.Ir.id else acc) max_int p.Ir.all_nodes
+  in
+  if negative < max_int then
+    fail ~node_id:negative ~code:Diag.validate_scale "node %d: negative scale 2^%d" negative
+      s.Analysis.scale.(negative);
+  s
+
+let check_transformed ?s_f p = ignore (check_transformed_sweep ?s_f p)
 
 let check_packing (pk : Vectorize.packing) p =
   let pow2 k = k >= 1 && k land (k - 1) = 0 in

@@ -20,8 +20,15 @@
 (** Check a frontend-produced input program (no FHE-specific ops). *)
 val check_input_program : Ir.program -> unit
 
-(** Check a transformed program against Constraints 1-4. *)
+(** Check a transformed program against Constraints 1-4. All checks
+    read one {!Analysis.sweep}; when several nodes break the same rule,
+    the first in [all_nodes] order is reported, except a negative scale,
+    which is reported at the lowest node id. *)
 val check_transformed : ?s_f:int -> Ir.program -> unit
+
+(** {!check_transformed}, returning the sweep the checks read so the
+    compiler driver can hand it on to {!Params.select_sweep}. *)
+val check_transformed_sweep : ?s_f:int -> Ir.program -> Analysis.sweep
 
 (** Check a packed layout produced by {!Vectorize.run} against the
     program it describes: spans are powers of two fitting the widened

@@ -245,14 +245,14 @@ let build p ~vs rplans oplans =
   in
   let w = vs * span_max in
   let q = Ir.create_program ~name:p.Ir.prog_name ~vec_size:w () in
-  let map : (int, Ir.node) Hashtbl.t = Hashtbl.create 64 in
+  let map = Array.make p.Ir.next_id None in
   let rec clone n =
-    match Hashtbl.find_opt map n.Ir.id with
+    match map.(n.Ir.id) with
     | Some m -> m
     | None ->
         let parms = Array.to_list (Array.map clone n.Ir.parms) in
         let m = Ir.add_node ~decl_scale:n.Ir.decl_scale q n.Ir.op parms in
-        Hashtbl.replace map n.Ir.id m;
+        map.(n.Ir.id) <- Some m;
         m
   in
   let used_inputs = Hashtbl.create 16 and used_outputs = Hashtbl.create 16 in
@@ -315,7 +315,7 @@ let build p ~vs rplans oplans =
           ~rotate:(fun x s -> Ir.add_node q (Ir.Rotate_left s) [ x ])
           ~count:rp.rspan ~step:vs masked
       in
-      Hashtbl.replace map rp.rroot.Ir.id reduced)
+      map.(rp.rroot.Ir.id) <- Some reduced)
     rplans;
   (* Grouped outputs become one packed output each; the rest clone. *)
   let grouped = Hashtbl.create 16 in

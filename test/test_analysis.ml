@@ -155,6 +155,122 @@ let prop_chains_length_equals_rescale_count =
       let levels = A.levels p in
       Hashtbl.find levels last.Ir.id = List.length kinds)
 
+(* Naive definitions of every sweep view, each a memoised recursion over
+   a node's parameters (no topological order, no shared state between
+   analyses). Chains are built oldest entry first, as the paper writes
+   them. *)
+let memo f =
+  let tbl = Hashtbl.create 64 in
+  let rec g n =
+    match Hashtbl.find_opt tbl n.Ir.id with
+    | Some v -> v
+    | None ->
+        let v = f g n in
+        Hashtbl.replace tbl n.Ir.id v;
+        v
+  in
+  g
+
+let naive_views () =
+  let ty =
+    memo (fun ty n ->
+      match n.Ir.op with
+      | Ir.Input (t, _) -> t
+      | Ir.Constant (Ir.Const_vector _) -> Ir.Vector
+      | Ir.Constant (Ir.Const_scalar _) -> Ir.Scalar
+      | _ ->
+          let ts = List.map ty (Array.to_list n.Ir.parms) in
+          if List.mem Ir.Cipher ts then Ir.Cipher else if List.mem Ir.Vector ts then Ir.Vector else Ir.Scalar)
+  in
+  let cipher n = ty n = Ir.Cipher in
+  let scale =
+    memo (fun scale n ->
+        let parm i = n.Ir.parms.(i) in
+        match n.Ir.op with
+        | Ir.Input _ | Ir.Constant _ -> n.Ir.decl_scale
+        | Ir.Rescale k -> scale (parm 0) - k
+        | Ir.Multiply -> scale (parm 0) + scale (parm 1)
+        | Ir.Add | Ir.Sub ->
+            if cipher (parm 0) then scale (parm 0)
+            else if cipher (parm 1) then scale (parm 1)
+            else max (scale (parm 0)) (scale (parm 1))
+        | _ -> scale (parm 0))
+  in
+  let chain =
+    memo (fun chain n ->
+        match n.Ir.op with
+        | Ir.Input _ | Ir.Constant _ -> []
+        | Ir.Rescale k -> chain n.Ir.parms.(0) @ [ Some k ]
+        | Ir.Mod_switch -> chain n.Ir.parms.(0) @ [ None ]
+        | _ -> (
+            match List.map chain (List.filter cipher (Array.to_list n.Ir.parms)) with
+            | [ c ] -> c
+            | [ a; b ] ->
+                if List.length a <> List.length b then failwith "chain lengths differ";
+                List.map2
+                  (fun x y ->
+                    match (x, y) with
+                    | Some i, Some j when i <> j -> failwith "chains disagree"
+                    | Some _, _ -> x
+                    | None, _ -> y)
+                  a b
+            | _ -> failwith "no cipher operand"))
+  in
+  let polys =
+    memo (fun polys n ->
+        if not (cipher n) then 0
+        else
+          match n.Ir.op with
+          | Ir.Input _ | Ir.Relinearize -> 2
+          | Ir.Multiply when cipher n.Ir.parms.(0) && cipher n.Ir.parms.(1) ->
+              polys n.Ir.parms.(0) + polys n.Ir.parms.(1) - 1
+          | _ -> List.fold_left max 0 (List.map polys (Array.to_list n.Ir.parms)))
+  in
+  (ty, scale, chain, polys)
+
+let naive_rotation_steps ty p =
+  let vs = p.Ir.vec_size in
+  let norm k = ((k mod vs) + vs) mod vs in
+  List.sort_uniq compare
+    (List.filter_map
+       (fun n ->
+         if ty n <> Ir.Cipher then None
+         else
+           match n.Ir.op with
+           | Ir.Rotate_left k when norm k <> 0 -> Some (norm k)
+           | Ir.Rotate_right k when norm k <> 0 -> Some (-norm k)
+           | _ -> None)
+       p.Ir.all_nodes)
+
+let views_match_naive p =
+  let ty, scale, chain, polys = naive_views () in
+  let types = A.types p and scales = A.scales p and chains = A.chains p and np = A.num_polys p in
+  List.for_all
+    (fun n ->
+      let id = n.Ir.id in
+      Hashtbl.find types id = ty n
+      && Hashtbl.find scales id = scale n
+      && Hashtbl.find np id = polys n
+      && Hashtbl.find_opt chains id = if ty n = Ir.Cipher then Some (chain n) else None)
+    p.Ir.all_nodes
+  && Hashtbl.length types = Ir.node_count p
+  && A.rotation_steps p = naive_rotation_steps ty p
+
+let prop_sweep_views_match_naive =
+  QCheck2.Test.make ~name:"sweep views = naive recursive definitions on compiled random programs"
+    ~count:100
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 3))
+    (fun (seed, variant) ->
+      let p = Gen_programs.random_program ~right_rotations:true seed in
+      let c =
+        match variant with
+        | 0 -> Eva_core.Compile.run p
+        | 1 -> Eva_core.Compile.run ~vectorize:false ~policy:Passes.Lazy_insertion p
+        | 2 -> Eva_core.Compile.run ~vectorize:false ~eager_relin:true p
+        | _ -> Eva_core.Compile.run ~batch:4 p
+      in
+      views_match_naive p && views_match_naive c.Eva_core.Compile.program)
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "analysis"
@@ -179,5 +295,5 @@ let () =
           Alcotest.test_case "depth" `Quick test_depth;
           Alcotest.test_case "plain depth free" `Quick test_depth_ignores_plain;
         ] );
-      ("property", [ qt prop_chains_length_equals_rescale_count ]);
+      ("property", [ qt prop_chains_length_equals_rescale_count; qt prop_sweep_views_match_naive ]);
     ]

@@ -211,6 +211,32 @@ let test_validate_catches_big_rescale () =
        d.Eva_diag.Diag.code = Eva_diag.Diag.validate_rescale
        && String.sub d.Eva_diag.Diag.message 0 12 = "constraint 4")
 
+(* Two offending nodes: the report names the lower id, whatever order a
+   table would iterate them in. *)
+let test_validate_negative_scale_lowest_id () =
+  let p = Ir.create_program ~vec_size:8 () in
+  let x = Ir.add_node ~decl_scale:20 p (Ir.Input (Ir.Cipher, "x")) [] in
+  let r1 = Ir.add_node p (Ir.Rescale 40) [ x ] in
+  let r2 = Ir.add_node p (Ir.Rescale 50) [ x ] in
+  ignore (Ir.add_node ~decl_scale:30 p (Ir.Output "b") [ r2 ]);
+  ignore (Ir.add_node ~decl_scale:30 p (Ir.Output "a") [ r1 ]);
+  match Validate.check_transformed p with
+  | () -> Alcotest.fail "negative scales accepted"
+  | exception Eva_diag.Diag.Error d ->
+      Alcotest.(check int) "code" Eva_diag.Diag.validate_scale d.Eva_diag.Diag.code;
+      Alcotest.(check (option int)) "lowest offending id" (Some r1.Ir.id) d.Eva_diag.Diag.node_id;
+      Alcotest.(check string) "message" "node 1: negative scale 2^-20" d.Eva_diag.Diag.message
+
+(* A plaintext output has no modulus chain to select parameters from. *)
+let test_params_reject_plain_output () =
+  let b = B.create ~vec_size:8 () in
+  let x = B.input b ~scale:30 "x" in
+  let v = B.vector_input b ~scale:30 "v" in
+  B.output b "y" ~scale:30 x;
+  B.output b "z" ~scale:30 (B.add v v);
+  Alcotest.check_raises "selection error" (Params.Selection_error "output node 4 is not a ciphertext") (fun () ->
+      ignore (Compile.run (B.program b)))
+
 (* k-term encrypted dot product: k cipher-cipher multiplies feeding one
    accumulation tree — the shape lazy relinearization collapses to a
    single key switch at the root. *)
@@ -317,35 +343,11 @@ let test_polynomial_builder () =
 
 (* Random-program property: compiled programs preserve reference
    semantics and always validate. *)
-let random_program seed =
-  let st = Random.State.make [| seed |] in
-  let b = B.create ~vec_size:16 () in
-  let x = B.input b ~scale:30 "x" in
-  let y = B.input b ~scale:25 "y" in
-  let consts = [ B.const_scalar b ~scale:20 0.5; B.const_vector b ~scale:20 (Array.init 16 (fun i -> 0.1 *. float_of_int i)) ] in
-  let pool = ref [ x; y ] in
-  for _ = 1 to 12 do
-    let pick lst = List.nth lst (Random.State.int st (List.length lst)) in
-    let a = pick !pool in
-    let e =
-      match Random.State.int st 6 with
-      | 0 -> B.add a (pick !pool)
-      | 1 -> B.sub a (pick !pool)
-      | 2 -> B.mul a (pick !pool)
-      | 3 -> B.mul a (pick consts)
-      | 4 -> B.rotate_left a (1 + Random.State.int st 15)
-      | _ -> B.neg a
-    in
-    pool := e :: !pool
-  done;
-  B.output b "out" ~scale:30 (List.hd !pool);
-  B.program b
-
 let prop_compiled_validates =
   QCheck2.Test.make ~name:"compiled random programs validate and preserve reference semantics" ~count:60
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
-      let p = random_program seed in
+      let p = Gen_programs.random_program seed in
       (* Raw reference equivalence at the source width: auto-vectorization
          would repack inputs and widen the graph (its own equivalence
          property lives in test_vectorize). *)
@@ -364,7 +366,7 @@ let prop_levels_bounded_by_depth =
   QCheck2.Test.make ~name:"output chain length never exceeds multiplicative depth" ~count:60
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
-      let p = random_program seed in
+      let p = Gen_programs.random_program seed in
       let c = Compile.run p in
       let depth = Analysis.multiplicative_depth c.Compile.program in
       let chains = Analysis.chains c.Compile.program in
@@ -377,7 +379,7 @@ let prop_lazy_matches_eager_encrypted =
   QCheck2.Test.make ~name:"lazy and eager relin placements decrypt alike" ~count:5
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
-      let p = random_program seed in
+      let p = Gen_programs.random_program seed in
       let st = Random.State.make [| seed; 13 |] in
       let vec () = Array.init 16 (fun _ -> Random.State.float st 2.0 -. 1.0) in
       let bind = [ ("x", Reference.Vec (vec ())); ("y", Reference.Vec (vec ())) ] in
@@ -394,6 +396,121 @@ let prop_lazy_matches_eager_encrypted =
       in
       let bound = 1e-3 *. magnitude in
       err false < bound && err true < bound)
+
+(* Byte-identity pin. Each digest covers the serialized compiled program,
+   the selected parameters, and every node's (id, op, parameter ids,
+   declared scale) in [all_nodes] order, so any change to node numbering,
+   visiting order or selection shows. The expected values were recorded
+   with the compiler as it stood before analyses and passes moved from
+   per-analysis hash tables to one id-indexed sweep; the compiler must
+   keep reproducing them. *)
+module N = Eva_tensor.Network
+module Nets = Eva_tensor.Networks
+
+let compiled_digest (c : Compile.compiled) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Eva_core.Serialize.to_string c.Compile.program);
+  Buffer.add_string b (Format.asprintf "%a" Params.pp c.Compile.params);
+  List.iter
+    (fun n ->
+      Buffer.add_string b
+        (Printf.sprintf "%d %s [%s] %d;" n.Ir.id (Format.asprintf "%a" Ir.pp_op n.Ir.op)
+           (String.concat "," (Array.to_list (Array.map (fun m -> string_of_int m.Ir.id) n.Ir.parms)))
+           n.Ir.decl_scale))
+    c.Compile.program.Ir.all_nodes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let lowered ?(mode = `Eva) net =
+  (N.lower ~mode ~scales:(Nets.scales_for net) net (N.random_weights net ~seed:1)).N.program
+
+let pinned_digests =
+  [
+    ("mini_lenet", "567ee6e6b632341038d798cc10fc0bf0");
+    ("mini_industrial", "7ea795d89a6888f8a80ad813829e5629");
+    ("mini_squeezenet", "94c3d6a3ec551d533a69d46df51646ff");
+    ("lenet5_small", "c39721a2e24f7eda335b89b4b9472ffa");
+    ("mini_lenet lazy-insertion", "567ee6e6b632341038d798cc10fc0bf0");
+    ("mini_lenet eager-relin", "5bc8e0a0036a8cf4fc9062b133007235");
+    ("mini_lenet batch 4", "5ea53217ab1962a69fca338a9627ea5c");
+    ("mini_industrial lazy-insertion", "7ea795d89a6888f8a80ad813829e5629");
+    ("mini_squeezenet lazy-insertion", "94c3d6a3ec551d533a69d46df51646ff");
+    ("mini_lenet chet", "a1ffd1aa2492155a12d7e43498450e67");
+    ("mini_lenet optimize", "bab27b018ddeee35266031e38dad6fc1");
+    ("3-dimensional Path Length", "5bed3702c4439ee4e7730f37f8a794b3");
+    ("3-dimensional Path Length lazy-insertion", "bfb44de865a2997194193ddd3f87740b");
+    ("Linear Regression", "671aaeff0d697fd343b97364e3cdcc21");
+    ("Linear Regression lazy-insertion", "671aaeff0d697fd343b97364e3cdcc21");
+    ("Polynomial Regression", "ca7a780da2e720b7d4d8308c37640f20");
+    ("Polynomial Regression lazy-insertion", "436c249ea883b0b73c3d0c59bf9f1ba5");
+    ("Multivariate Regression", "9ed79f001c0724f5dae039120b478524");
+    ("Multivariate Regression lazy-insertion", "9ed79f001c0724f5dae039120b478524");
+    ("Sobel Filter Detection", "f45da003fc3acd00b2288ea99c375300");
+    ("Sobel Filter Detection lazy-insertion", "d0391cc188b1416c93dd98deef7dfbf9");
+    ("Harris Corner Detection", "515a2b445634c926b3e620488191c63a");
+    ("Harris Corner Detection lazy-insertion", "515a2b445634c926b3e620488191c63a");
+    ("ok-scalar-dot8.eva", "bc6ea7866c6dc061ab27bb6bc8dfa52c");
+    ("ok-scalar-poly4.eva", "c1ac93e8d0ed9dd3f8273ce017ae8b83");
+  ]
+
+let pinned_programs () =
+  let mini = lowered Nets.mini_lenet in
+  let apps =
+    List.concat_map
+      (fun (a : Eva_apps.Apps.app) ->
+        [
+          (a.Eva_apps.Apps.app_name, fun () -> Compile.run (a.Eva_apps.Apps.build ()));
+          ( a.Eva_apps.Apps.app_name ^ " lazy-insertion",
+            fun () -> Compile.run ~policy:Passes.Lazy_insertion (a.Eva_apps.Apps.build ()) );
+        ])
+      Eva_apps.Apps.all
+  in
+  let corpus =
+    List.filter_map
+      (fun f ->
+        if String.length f > 3 && String.sub f 0 3 = "ok-" then
+          Some (f, fun () -> Compile.run (Eva_core.Serialize.of_file (Filename.concat "corpus" f)))
+        else None)
+      (List.sort compare (Array.to_list (Sys.readdir "corpus")))
+  in
+  [
+    ("mini_lenet", fun () -> Compile.run mini);
+    ("mini_industrial", fun () -> Compile.run (lowered Nets.mini_industrial));
+    ("mini_squeezenet", fun () -> Compile.run (lowered Nets.mini_squeezenet));
+    ("lenet5_small", fun () -> Compile.run (lowered Nets.lenet5_small));
+    ("mini_lenet lazy-insertion", fun () -> Compile.run ~policy:Passes.Lazy_insertion mini);
+    ("mini_lenet eager-relin", fun () -> Compile.run ~eager_relin:true mini);
+    ("mini_lenet batch 4", fun () -> Compile.run ~batch:4 mini);
+    ( "mini_industrial lazy-insertion",
+      fun () -> Compile.run ~policy:Passes.Lazy_insertion (lowered Nets.mini_industrial) );
+    ( "mini_squeezenet lazy-insertion",
+      fun () -> Compile.run ~policy:Passes.Lazy_insertion (lowered Nets.mini_squeezenet) );
+    ("mini_lenet chet", fun () -> Compile.run (lowered ~mode:`Chet Nets.mini_lenet));
+    ("mini_lenet optimize", fun () -> Compile.run ~optimize:true mini);
+  ]
+  @ apps @ corpus
+
+let test_pinned_digests () =
+  let programs = pinned_programs () in
+  Alcotest.(check (list string)) "pinned program set" (List.map fst pinned_digests) (List.map fst programs);
+  List.iter
+    (fun (name, compile) ->
+      Alcotest.(check string) name (List.assoc name pinned_digests) (compiled_digest (compile ())))
+    programs
+
+(* Deterministic allocation gate: minor-heap words allocated per output
+   node while compiling LeNet-5-small. Compilation runs on the calling
+   domain only, so the count does not depend on POOL_WORKERS. *)
+let words_per_node_budget = 208.0
+
+let test_compile_words_per_node () =
+  let input = lowered Nets.lenet5_small in
+  let w0 = Gc.minor_words () in
+  let c = Compile.run input in
+  let words = Gc.minor_words () -. w0 in
+  let per_node = words /. float_of_int (Ir.node_count c.Compile.program) in
+  Printf.printf "Compile.run LeNet-5-small: %.1f minor words per output node (budget %.0f)\n" per_node
+    words_per_node_budget;
+  Alcotest.(check bool) "within budget" true (per_node <= words_per_node_budget)
 
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
@@ -422,6 +539,8 @@ let () =
           Alcotest.test_case "scale mismatch" `Quick test_validate_catches_scale_mismatch;
           Alcotest.test_case "unrelinearized" `Quick test_validate_catches_unrelinearized;
           Alcotest.test_case "oversized rescale" `Quick test_validate_catches_big_rescale;
+          Alcotest.test_case "negative scale: lowest id" `Quick test_validate_negative_scale_lowest_id;
+          Alcotest.test_case "plain output rejected" `Quick test_params_reject_plain_output;
           Alcotest.test_case "compile copies" `Quick test_compile_is_nondestructive;
         ] );
       ( "lazy relinearization",
@@ -431,6 +550,11 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_lazy_relin_idempotent;
           Alcotest.test_case "E206: size 3 into rotate" `Quick test_validate_size3_into_rotate;
           Alcotest.test_case "E206: size 3 into output" `Quick test_validate_size3_into_output;
+        ] );
+      ( "byte identity and allocation",
+        [
+          Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
+          Alcotest.test_case "words per output node" `Quick test_compile_words_per_node;
         ] );
       ( "property",
         [ qt prop_compiled_validates; qt prop_levels_bounded_by_depth; qt prop_lazy_matches_eager_encrypted ]

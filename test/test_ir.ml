@@ -188,6 +188,87 @@ let prop_copy_preserves_serialization =
       let p = B.program b in
       Eva_core.Serialize.to_string p = Eva_core.Serialize.to_string (Ir.copy p))
 
+(* Reference schedule for [Ir.topological]: repeatedly emit the smallest
+   id whose parents have all been emitted (Kahn's algorithm with a
+   min-id choice, written as a quadratic scan). *)
+let reference_topological p =
+  let emitted = Hashtbl.create 64 in
+  let ready n = Array.for_all (fun m -> Hashtbl.mem emitted m.Ir.id) n.Ir.parms in
+  let rec go acc remaining =
+    match List.filter ready remaining with
+    | [] -> List.rev acc
+    | r :: rs ->
+        let n = List.fold_left (fun a m -> if m.Ir.id < a.Ir.id then m else a) r rs in
+        Hashtbl.replace emitted n.Ir.id ();
+        go (n :: acc) (List.filter (fun m -> m != n) remaining)
+  in
+  go [] p.Ir.all_nodes
+
+(* Nodes reachable from [n] along use edges, [n] included. *)
+let descendants n =
+  let seen = Hashtbl.create 16 in
+  let rec visit m =
+    if not (Hashtbl.mem seen m.Ir.id) then begin
+      Hashtbl.replace seen m.Ir.id ();
+      List.iter visit m.Ir.uses
+    end
+  in
+  visit n;
+  seen
+
+(* A random DAG, then random graph surgery: [insert_between] splices
+   fresh (larger-id) nodes above existing children, [set_parm] redirects
+   operands to any node that creates no cycle, and [prune] drops what no
+   output reaches, leaving sparse ids. *)
+let random_rewritten_dag seed =
+  let st = Random.State.make [| seed |] in
+  let p = Ir.create_program ~vec_size:8 () in
+  let nodes = ref [] in
+  let pick () = List.nth !nodes (Random.State.int st (List.length !nodes)) in
+  for i = 0 to 1 + Random.State.int st 3 do
+    nodes := mk_input p (Printf.sprintf "x%d" i) :: !nodes
+  done;
+  for _ = 1 to 5 + Random.State.int st 20 do
+    let op, arity =
+      match Random.State.int st 3 with 0 -> (Ir.Add, 2) | 1 -> (Ir.Multiply, 2) | _ -> (Ir.Negate, 1)
+    in
+    nodes := Ir.add_node p op (List.init arity (fun _ -> pick ())) :: !nodes
+  done;
+  let instructions () = List.filter (fun n -> Array.length n.Ir.parms > 0) !nodes in
+  for _ = 1 to Random.State.int st 12 do
+    match Random.State.int st 2 with
+    | 0 ->
+        let n = pick () in
+        let op = if Random.State.bool st then Ir.Mod_switch else Ir.Negate in
+        let keep = Random.State.bool st in
+        nodes :=
+          Ir.insert_between ~child_filter:(fun _ -> keep || Random.State.bool st) p n op [] :: !nodes
+    | _ ->
+        let candidates = instructions () in
+        let c = List.nth candidates (Random.State.int st (List.length candidates)) in
+        let below = descendants c in
+        let targets = List.filter (fun m -> not (Hashtbl.mem below m.Ir.id)) !nodes in
+        if targets <> [] then
+          Ir.set_parm c
+            (Random.State.int st (Array.length c.Ir.parms))
+            (List.nth targets (Random.State.int st (List.length targets)))
+  done;
+  List.iteri
+    (fun i n -> if Random.State.int st 3 = 0 then ignore (Ir.add_node p (Ir.Output (Printf.sprintf "o%d" i)) [ n ]))
+    !nodes;
+  ignore (Ir.add_node p (Ir.Output "last") [ List.hd !nodes ]);
+  Ir.prune p;
+  p
+
+let prop_topological_matches_reference =
+  QCheck2.Test.make ~name:"Ir.topological = min-id Kahn after insert_between/set_parm/prune" ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_rewritten_dag seed in
+      let ids nodes = List.map (fun n -> n.Ir.id) nodes in
+      ids (Ir.topological p) = ids (reference_topological p)
+      && ids (Ir.reverse_topological p) = List.rev (ids (reference_topological p)))
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ir"
@@ -216,5 +297,5 @@ let () =
           Alcotest.test_case "duplicate input" `Quick test_builder_rejects_duplicate_inputs;
           Alcotest.test_case "vec_size power of two" `Quick test_vec_size_must_be_power_of_two;
         ] );
-      ("property", [ qt prop_copy_preserves_serialization ]);
+      ("property", [ qt prop_copy_preserves_serialization; qt prop_topological_matches_reference ]);
     ]
