@@ -551,7 +551,7 @@ let () =
           Alcotest.test_case "E206: size 3 into rotate" `Quick test_validate_size3_into_rotate;
           Alcotest.test_case "E206: size 3 into output" `Quick test_validate_size3_into_output;
         ] );
-      ( "byte identity and allocation",
+      ( "byte identity",
         [
           Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
           Alcotest.test_case "words per output node" `Quick test_compile_words_per_node;
